@@ -3,7 +3,6 @@ package sat
 import (
 	"context"
 	"math"
-	"sort"
 	"sync/atomic"
 )
 
@@ -125,8 +124,13 @@ type solver struct {
 	activity []float64
 	actInc   float64
 	phase    []bool
-	order    []int // heap-free: sorted scan with lazy skip
-	res      Result
+	// The variable-order heap (heap.go): rank[v] is v's position in the
+	// static branching order (-1 when v is never branched on), heap the
+	// candidates and heapIdx[v] v's heap position (-1 when absent).
+	rank    []int32
+	heap    []int32
+	heapIdx []int32
+	res     Result
 
 	seen    []bool
 	tmpLits []Lit
@@ -147,8 +151,6 @@ func newSolver(f *Formula) *solver {
 	s := &solver{
 		f:        f,
 		assign:   make([]int8, n),
-		level:    make([]int32, n),
-		reason:   make([]int32, n),
 		watches:  make([][]int32, 2*n),
 		activity: make([]float64, n),
 		actInc:   1,
@@ -156,6 +158,7 @@ func newSolver(f *Formula) *solver {
 		seen:     make([]bool, n),
 		stab0:    make([]bool, n),
 	}
+	s.carveInt32(make([]int32, 5*n), n)
 	for i := range s.assign {
 		s.assign[i] = -1
 		s.reason[i] = -1
@@ -216,9 +219,8 @@ func newSolver(f *Formula) *solver {
 			s.watches[cl.lits[1]] = append(s.watches[cl.lits[1]], ci)
 		}
 	}
-	s.order = make([]int, n)
-	for i := range s.order {
-		s.order[i] = i
+	for i := 0; i < n; i++ {
+		s.heap[i] = int32(i)
 		s.activity[i] = posScore[i] + negScore[i]
 		switch f.Preferred(i) {
 		case 0:
@@ -229,14 +231,18 @@ func newSolver(f *Formula) *solver {
 			s.phase[i] = posScore[i] >= negScore[i]
 		}
 	}
-	sort.SliceStable(s.order, func(a, b int) bool {
-		va, vb := s.order[a], s.order[b]
-		if s.activity[va] != s.activity[vb] {
-			return s.activity[va] > s.activity[vb]
-		}
-		return va < vb
-	})
+	s.initOrder()
 	return s
+}
+
+// carveInt32 points the per-variable int32 arrays — level, reason and
+// the heap's three — into one backing batch of 5n elements.
+func (s *solver) carveInt32(back []int32, n int) {
+	s.level = back[:n:n]
+	s.reason = back[n : 2*n : 2*n]
+	s.rank = back[2*n : 3*n : 3*n]
+	s.heapIdx = back[3*n : 4*n : 4*n]
+	s.heap = back[4*n : 5*n : 5*n]
 }
 
 func (s *solver) value(l Lit) int8 {
@@ -337,6 +343,9 @@ func (s *solver) bump(v int) {
 			s.activity[i] *= 1e-100
 		}
 		s.actInc *= 1e-100
+		s.rebuildHeap()
+	} else if i := s.heapIdx[v]; i >= 0 {
+		s.siftUp(int(i))
 	}
 }
 
@@ -427,21 +436,16 @@ func (s *solver) cancelUntil(lvl int) {
 		s.phase[v] = s.assign[v] == 1
 		s.assign[v] = -1
 		s.reason[v] = -1
+		s.heapInsert(v)
 	}
 	s.trail = s.trail[:lo]
 	s.trailLo = lo
 	s.limits = s.limits[:lvl]
 }
 
-func (s *solver) pickVar() int {
-	best, bestAct := -1, -1.0
-	for _, v := range s.order {
-		if s.assign[v] < 0 && s.activity[v] > bestAct {
-			best, bestAct = v, s.activity[v]
-		}
-	}
-	return best
-}
+// testHookPick, when set (by tests only), observes every branching
+// choice, before the decision is counted or enqueued.
+var testHookPick func(s *solver, v int)
 
 func (s *solver) addLearned(lits []Lit) int32 {
 	cl := &clause{lits: append([]Lit(nil), lits...), learned: true, stable: s.analyzeStable}
@@ -554,6 +558,9 @@ func (s *solver) search(lim Limits) Result {
 		}
 
 		v := s.pickVar()
+		if testHookPick != nil {
+			testHookPick(s, v)
+		}
 		if v < 0 {
 			s.res.Status = Sat
 			s.res.Model = make([]bool, s.f.NumVars)

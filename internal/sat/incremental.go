@@ -3,7 +3,6 @@ package sat
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Incremental is an assumption-based incremental front end over the DPLL
@@ -66,9 +65,9 @@ type Incremental struct {
 	arenaPtrs []*clause
 	arenaLits []Lit
 	occ       []int32
+	i32       []int32 // carved by solver.carveInt32
 	watchBack []int32
 	pos, neg  []float64
-	orderBuf  []int
 	normBuf   []Lit
 }
 
@@ -239,8 +238,8 @@ func (inc *Incremental) SolveStep(activePerm int, lim Limits, w *Warm) Result {
 	s.stableUnits = s.stableUnits[:0]
 
 	s.assign = grown(s.assign, n)
-	s.level = grown(s.level, n)
-	s.reason = grown(s.reason, n)
+	inc.i32 = grown(inc.i32, 5*n)
+	s.carveInt32(inc.i32, n)
 	s.activity = grown(s.activity, n)
 	s.phase = grown(s.phase, n)
 	s.seen = grown(s.seen, n)
@@ -375,12 +374,12 @@ func (inc *Incremental) SolveStep(activePerm int, lim Limits, w *Warm) Result {
 
 	// Branching order over the live variables only — the image, under the
 	// chain's variable translation, of the fresh formula's full order.
-	order := inc.orderBuf[:0]
+	s.heap = s.heap[:0]
 	for v := 0; v < n; v++ {
 		if inc.inert[v] || v == inc.guard {
 			continue
 		}
-		order = append(order, v)
+		s.heap = append(s.heap, int32(v))
 		s.activity[v] = pos[v] + neg[v]
 		switch inc.prefer[v] {
 		case 0:
@@ -391,15 +390,7 @@ func (inc *Incremental) SolveStep(activePerm int, lim Limits, w *Warm) Result {
 			s.phase[v] = pos[v] >= neg[v]
 		}
 	}
-	inc.orderBuf = order
-	sort.SliceStable(order, func(a, b int) bool {
-		va, vb := order[a], order[b]
-		if s.activity[va] != s.activity[vb] {
-			return s.activity[va] > s.activity[vb]
-		}
-		return va < vb
-	})
-	s.order = order
+	s.initOrder()
 
 	// Assume the guard at level 0 and start propagation past it, so the
 	// guard's (inert) watch list is never scanned and the trail beyond
