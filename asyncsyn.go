@@ -124,17 +124,6 @@ func NewSolveCache() *SolveCache { return modcache.New() }
 // instance across every run.
 func NewDiskSolveCache(dir string) (*SolveCache, error) { return modcache.NewDisk(dir) }
 
-// storeOf adapts a possibly nil concrete cache to the modcache.Store
-// interface the pipeline consumes. The explicit nil check matters: a
-// typed nil *SolveCache assigned straight into the interface would not
-// compare equal to nil downstream.
-func storeOf(c *SolveCache) modcache.Store {
-	if c == nil {
-		return nil
-	}
-	return c
-}
-
 // solveCacheFor resolves the cache configuration of one run.
 func solveCacheFor(opt Options) (*SolveCache, error) {
 	switch {
@@ -342,15 +331,6 @@ type Options struct {
 	// with or without the cache (pinned by TestCacheBitIdentical) —
 	// this exists for measurement and debugging.
 	DisableSolveCache bool
-	// DisableSpeculation runs the modular method's per-output module
-	// solves strictly sequentially even when Workers > 1. By default the
-	// module stage solves outputs speculatively in parallel — each
-	// against a copy-on-write snapshot of the state-signal columns —
-	// and commits results in the canonical most-conflicted-first order,
-	// discarding and re-solving any speculation a committed predecessor
-	// invalidated. Results are bit-identical either way (pinned by
-	// TestSpeculationParity); this exists for measurement and debugging.
-	DisableSpeculation bool
 	// DisableIncrementalSAT forces each SAT formula of a widening chain
 	// to be re-encoded and solved from scratch instead of as an
 	// assumption-guarded step of one persistent incremental solver.
@@ -558,11 +538,8 @@ func SynthesizeContext(ctx context.Context, s *STG, opt Options) (*Circuit, erro
 	}
 	if c != nil {
 		// The collector may be shared across runs; the circuit reports
-		// only this run's delta — restricted to the deterministic
-		// counters, so the map is identical for every Workers value
-		// (speculation telemetry stays visible on the collector itself
-		// and in the Prometheus exposition).
-		c.Counters = opt.Metrics.Snapshot().DeterministicDelta(before)
+		// only this run's delta.
+		c.Counters = opt.Metrics.Snapshot().Delta(before)
 	}
 	return c, err
 }
@@ -594,15 +571,14 @@ func synthesizeModular(ctx context.Context, s *STG, opt Options, cache *SolveCac
 			Engine:        cscEngine(opt.Engine),
 			Encoding:      csc.Options{ExpandXor: opt.ExpandXor},
 			MaxBacktracks: opt.MaxBacktracks,
-			Cache:         storeOf(cache),
+			Cache:         cache,
 			NoIncremental: opt.DisableIncrementalSAT,
 		},
-		StateGraph:         sgOptions(opt),
-		FullSupport:        opt.FullSupport,
-		ExactLogic:         opt.ExactMinimize,
-		Workers:            opt.Workers,
-		DisableStreaming:   opt.DisableStreaming,
-		DisableSpeculation: opt.DisableSpeculation,
+		StateGraph:       sgOptions(opt),
+		FullSupport:      opt.FullSupport,
+		ExactLogic:       opt.ExactMinimize,
+		Workers:          opt.Workers,
+		DisableStreaming: opt.DisableStreaming,
 	})
 	if res == nil {
 		return nil, err
@@ -644,7 +620,7 @@ func synthesizeWholeGraph(ctx context.Context, s *STG, opt Options, cache *Solve
 		Engine:        cscEngine(opt.Engine),
 		Encoding:      csc.Options{ExpandXor: opt.ExpandXor},
 		MaxBacktracks: opt.MaxBacktracks,
-		Cache:         storeOf(cache),
+		Cache:         cache,
 		NoIncremental: opt.DisableIncrementalSAT,
 	}, ExactLogic: opt.ExactMinimize, Workers: opt.Workers,
 		DisableStreaming: opt.DisableStreaming}
@@ -673,7 +649,7 @@ func synthesizeWholeGraph(ctx context.Context, s *STG, opt Options, cache *Solve
 					Engine:        cscEngine(opt.Engine),
 					Encoding:      csc.Options{ExpandXor: opt.ExpandXor},
 					MaxBacktracks: opt.MaxBacktracks,
-					Cache:         storeOf(cache),
+					Cache:         cache,
 					NoIncremental: opt.DisableIncrementalSAT,
 				})
 				if dr != nil {

@@ -61,20 +61,19 @@ func main() {
 	memProfile := flag.String("memprofile", "", "write a heap profile (after the suite run) to this path")
 	noIncr := flag.Bool("noincremental", false, "ablation: re-encode every SAT formula instead of incremental solving (results are bit-identical; timings move)")
 	noStream := flag.Bool("nostreaming", false, "ablation: materialize the expanded graph and use the scalar simulator (results are bit-identical; memory and timings move)")
-	noSpec := flag.Bool("nospeculation", false, "ablation: disable the speculative partition-parallel module scheduler (results are bit-identical; timings move)")
 	scalingPoint := flag.Int("scalingpoint", 0, "run only the modular method at this scaling-sweep point (k) and print its stage breakdown; used by the memory-ceiling CI smoke")
 	flag.Parse()
 
 	err := withProfiles(*cpuProfile, *memProfile, func() error {
 		switch {
 		case *scalingPoint > 0:
-			return doScalingPoint(*scalingPoint, *maxBT, *noStream, *noSpec)
+			return doScalingPoint(*scalingPoint, *maxBT, *noStream)
 		case *render != "":
 			return doRender(*render, *doc, *check)
 		case *against != "":
-			return doCompare(*against, flag.Arg(0), *out, *quick, *workers, *maxBT, *cacheDir, *noIncr, *noStream, *noSpec, *requireHits)
+			return doCompare(*against, flag.Arg(0), *out, *quick, *workers, *maxBT, *cacheDir, *noIncr, *noStream, *requireHits)
 		default:
-			return doRun(*out, *quick, *workers, *maxBT, *cacheDir, *noIncr, *noStream, *noSpec)
+			return doRun(*out, *quick, *workers, *maxBT, *cacheDir, *noIncr, *noStream)
 		}
 	})
 	if err != nil {
@@ -123,11 +122,10 @@ func withProfiles(cpuPath, memPath string, run func() error) error {
 // scaling sweep and prints the stage breakdown and peak heap. CI runs it
 // under a GOMEMLIMIT ceiling: a materialization regression (peak heap
 // proportional to total expanded states instead of frontier width) blows
-// the ceiling and fails the step long before the full sweep would. The
-// default arm runs at Workers=4 so the speculative module scheduler's
-// lane snapshots are inside the ceiling too; -nospeculation keeps the
-// Workers but ablates the scheduler, isolating its footprint.
-func doScalingPoint(k int, maxBT int64, noStream, noSpec bool) error {
+// the ceiling and fails the step long before the full sweep would. It
+// runs at Workers=4 so the parallel stages' scratch is inside the
+// ceiling too.
+func doScalingPoint(k int, maxBT int64, noStream bool) error {
 	spec, err := stg.Handshakes("", k, 2)
 	if err != nil {
 		return err
@@ -136,12 +134,10 @@ func doScalingPoint(k int, maxBT int64, noStream, noSpec bool) error {
 	if err != nil {
 		return err
 	}
-	m := asyncsyn.NewMetrics()
 	watch := metrics.WatchHeap(5 * time.Millisecond)
 	c, err := asyncsyn.Synthesize(g, asyncsyn.Options{
 		Method: asyncsyn.Modular, MaxBacktracks: maxBT, Workers: 4,
-		DisableStreaming: noStream, DisableSpeculation: noSpec,
-		Metrics: m,
+		DisableStreaming: noStream, Metrics: asyncsyn.NewMetrics(),
 	})
 	peak := watch.Stop()
 	if err != nil {
@@ -155,20 +151,14 @@ func doScalingPoint(k int, maxBT int64, noStream, noSpec bool) error {
 	for _, k := range []string{"sg_states", "sg_states_streamed", "sg_peak_frontier"} {
 		fmt.Printf("  counter %-20s %d\n", k, c.Counters[k])
 	}
-	// Scheduling-dependent, so filtered from c.Counters; read them off
-	// the raw collector to show whether speculation engaged.
-	raw := m.Map()
-	for _, k := range []string{"modspec_commits", "modspec_aborts", "modspec_resolves"} {
-		fmt.Printf("  counter %-20s %d\n", k, raw[k])
-	}
 	if c.Aborted {
 		return fmt.Errorf("scaling k=%d: aborted (backtrack budget)", k)
 	}
 	return nil
 }
 
-func doRun(out string, quick bool, workers int, maxBT int64, cacheDir string, noIncr, noStream, noSpec bool) error {
-	rec, err := runSuite(quick, workers, maxBT, cacheDir, noIncr, noStream, noSpec)
+func doRun(out string, quick bool, workers int, maxBT int64, cacheDir string, noIncr, noStream bool) error {
+	rec, err := runSuite(quick, workers, maxBT, cacheDir, noIncr, noStream)
 	if err != nil {
 		return err
 	}
@@ -183,7 +173,7 @@ func doRun(out string, quick bool, workers int, maxBT int64, cacheDir string, no
 	return nil
 }
 
-func doCompare(baseline, freshPath, out string, quick bool, workers int, maxBT int64, cacheDir string, noIncr, noStream, noSpec, requireHits bool) error {
+func doCompare(baseline, freshPath, out string, quick bool, workers int, maxBT int64, cacheDir string, noIncr, noStream, requireHits bool) error {
 	baseline, err := resolveBaseline(baseline)
 	if err != nil {
 		return err
@@ -198,7 +188,7 @@ func doCompare(baseline, freshPath, out string, quick bool, workers int, maxBT i
 			return err
 		}
 	} else {
-		if fresh, err = runSuite(quick, workers, maxBT, cacheDir, noIncr, noStream, noSpec); err != nil {
+		if fresh, err = runSuite(quick, workers, maxBT, cacheDir, noIncr, noStream); err != nil {
 			return err
 		}
 		if out != "" {
@@ -321,7 +311,7 @@ func doRender(recPath, docPath string, check bool) error {
 // and scaling sweeps. noIncr ablates the incremental SAT solver and
 // noStream the streaming expansion spine, on the Table-1 rows (the
 // sweeps keep the default paths — they measure their own effects).
-func runSuite(quick bool, workers int, maxBT int64, cacheDir string, noIncr, noStream, noSpec bool) (*benchrec.Record, error) {
+func runSuite(quick bool, workers int, maxBT int64, cacheDir string, noIncr, noStream bool) (*benchrec.Record, error) {
 	names := bench.Names()
 	if quick {
 		var small []string
@@ -345,7 +335,6 @@ func runSuite(quick bool, workers int, maxBT int64, cacheDir string, noIncr, noS
 			Workers:       workers,
 			MaxBacktracks: maxBT,
 			Quick:         quick,
-			NoSpeculation: noSpec,
 		},
 	}
 
@@ -370,7 +359,7 @@ func runSuite(quick bool, workers int, maxBT int64, cacheDir string, noIncr, noS
 			res, init, initSig := runOne(name, asyncsyn.Options{
 				Method: m.method, MaxBacktracks: maxBT, Workers: inner,
 				CacheDir: cacheDir, DisableIncrementalSAT: noIncr,
-				DisableStreaming: noStream, DisableSpeculation: noSpec,
+				DisableStreaming: noStream,
 			})
 			*m.dst = res
 			if init > 0 {
@@ -393,7 +382,7 @@ func runSuite(quick bool, workers int, maxBT int64, cacheDir string, noIncr, noS
 		if rec.Clauses, err = clauseSweep(maxBT, workers); err != nil {
 			return nil, err
 		}
-		if rec.Scaling, err = scalingSweep(workers, noSpec); err != nil {
+		if rec.Scaling, err = scalingSweep(workers); err != nil {
 			return nil, err
 		}
 	}
@@ -587,12 +576,8 @@ func clauseSweep(maxBT int64, workers int) ([]benchrec.ClauseRow, error) {
 // record can be produced on hosts where the ~156k-state point does not
 // finish. Every cell also records its sampled peak heap (the k=6 point
 // only became recordable with the frontier-bounded streaming expansion)
-// and, for the modular cells, the module-stage seconds. When the
-// sequential modular cell completes and noSpec is off, the point is
-// re-run with the speculative module scheduler at Workers=4
-// (ScalingRow.ModularSpec) — the speedup the scheduler buys on the
-// stage it parallelizes.
-func scalingSweep(workers int, noSpec bool) ([]benchrec.ScalingRow, error) {
+// and, for the modular cells, the module-stage seconds.
+func scalingSweep(workers int) ([]benchrec.ScalingRow, error) {
 	const points = 7
 	const baselineBudget = 2 * time.Minute
 	const attemptBudget = 10 * time.Minute
@@ -654,17 +639,6 @@ func scalingSweep(workers int, noSpec bool) ([]benchrec.ScalingRow, error) {
 			if row.States == 0 && init > 0 {
 				row.States = init
 			}
-		}
-		if !noSpec && !row.Modular.Aborted && row.Modular.Area > 0 {
-			opt := asyncsyn.Options{Method: asyncsyn.Modular, MaxBacktracks: 300000, Workers: 4}
-			if k >= 7 {
-				opt.Timeout = attemptBudget
-			}
-			cell, _, err := runCell(opt)
-			if err != nil {
-				return row, fmt.Errorf("scaling k=%d modular-spec: %w", k, err)
-			}
-			row.ModularSpec = &cell
 		}
 		fmt.Fprintf(os.Stderr, "bench: scaling k=%d (%d states) done\n", k, row.States)
 		return row, nil

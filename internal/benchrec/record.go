@@ -42,16 +42,12 @@ import (
 // relative to version 3 (the streaming and materializing paths are
 // pinned bit-identical); memory profiles move.
 //
-// Version 5: added the speculative partition-parallel module scheduler's
-// scaling cells — ScalCell.ModuleSeconds (module-stage time, the part
-// speculation parallelizes) and ScalingRow.ModularSpec (the modular
-// method re-run at Workers=4 with speculation on) — plus
-// Env.NoSpeculation for ablation records and the modspec_* counters in
-// the raw collector. Digests and the deterministic counters in
-// MethodResult.Counters are unchanged relative to version 4 (the
-// speculative scheduler is pinned bit-identical to the sequential loop,
-// and scheduling-dependent modspec counters are filtered out of
-// Circuit.Counters); timings move.
+// Version 5: added ScalCell.ModuleSeconds (module-stage time) and the
+// speculative module scheduler's ScalingRow.ModularSpec and
+// Env.NoSpeculation. The scheduler has since been removed; those two
+// fields are decoded from existing version-5 records but no longer
+// written. Digests and the counters in MethodResult.Counters are
+// unchanged relative to version 4; timings move.
 const SchemaVersion = 5
 
 // Env describes the machine and configuration that produced a record.
@@ -65,8 +61,8 @@ type Env struct {
 	Workers       int    `json:"workers"`
 	MaxBacktracks int64  `json:"max_backtracks"`
 	Quick         bool   `json:"quick,omitempty"`
-	// NoSpeculation marks an ablation record: the speculative
-	// partition-parallel module scheduler was disabled for every run.
+	// NoSpeculation marked an ablation record of the removed speculative
+	// module scheduler. Decoded from old records; no longer written.
 	NoSpeculation bool `json:"no_speculation,omitempty"`
 }
 
@@ -159,10 +155,8 @@ type ScalCell struct {
 	// point's run (see MethodResult.PeakHeapBytes); the scaling sweep is
 	// where the frontier-bounded streaming expansion shows up.
 	PeakHeapBytes uint64 `json:"peak_heap_bytes,omitempty"`
-	// ModuleSeconds isolates the modules pipeline stage — the part the
-	// speculative scheduler parallelizes; the expansion and quotient
-	// stages are outside its reach. Zero in pre-schema-5 records and in
-	// aborted cells.
+	// ModuleSeconds isolates the modules pipeline stage. Zero in
+	// pre-schema-5 records and in aborted cells.
 	ModuleSeconds float64 `json:"module_seconds,omitempty"`
 }
 
@@ -173,10 +167,9 @@ type ScalingRow struct {
 	Modular ScalCell `json:"modular"`
 	Direct  ScalCell `json:"direct"`
 	Lavagno ScalCell `json:"lavagno"`
-	// ModularSpec is the modular method re-run with the speculative
-	// partition-parallel module scheduler engaged (Workers=4). Its digest
-	// equivalence with the sequential cell is enforced by the test suite;
-	// the record keeps only the timings. Nil in pre-schema-5 records.
+	// ModularSpec was the modular method re-run with the removed
+	// speculative module scheduler (Workers=4). Decoded from old
+	// records, which render it; no longer written.
 	ModularSpec *ScalCell `json:"modular_spec,omitempty"`
 }
 

@@ -44,16 +44,6 @@ type Options struct {
 	// every value — parallel stages always reduce in a fixed order
 	// (DESIGN.md §3.8).
 	Workers int
-	// DisableSpeculation forces the per-output module solves to run
-	// strictly sequentially even when Workers > 1. By default the module
-	// stage speculates: workers solve outputs in parallel against
-	// copy-on-write snapshots of the state-signal columns and results
-	// commit strictly in the canonical most-conflicted-first order,
-	// discarding (and re-solving) any speculation a committed
-	// predecessor invalidated (DESIGN.md §3.15). Results are
-	// bit-identical either way; this exists for measurement and
-	// debugging.
-	DisableSpeculation bool
 	// DisableStreaming materializes the expanded state graph (Expand)
 	// instead of streaming it in topological waves (ExpandStream): the
 	// whole graph — states, edges, adjacency — is built in memory before
@@ -261,6 +251,8 @@ func Synthesize(ctx context.Context, spec *stg.G, opt Options) (*Result, error) 
 // determination, modular CSC solving with the widening fallback chain,
 // and global propagation. It fills res.Outputs/res.Inserted and returns
 // the per-output supports and pass signals needed by logic derivation.
+// The passes run one after another: each module sees the state signals
+// every earlier module inserted (DESIGN.md §3.15).
 func runModules(ctx context.Context, full *sg.Graph, spec *stg.G, opt Options, res *Result) (map[int]InputSet, map[int][]string, error) {
 	// The most-conflicted output goes first: its module contains the
 	// structural core of the coding problem, and the signals inserted for
@@ -301,56 +293,42 @@ func runModules(ctx context.Context, full *sg.Graph, spec *stg.G, opt Options, r
 	outs = sorted
 	supports := make(map[int]InputSet)
 	passSigs := make(map[int][]string) // output → state-signal names kept or added in its pass
-	if useSpeculation(opt, len(outs)) {
-		err := runModulesSpeculative(ctx, full, spec, opt, res, outs, supports, passSigs)
-		return supports, passSigs, err
-	}
 	for _, o := range outs {
 		octx := trace.WithOutput(ctx, full.Base[o].Name)
 		before := len(full.StateSigs)
 		is, pr, widened, err := solveModule(octx, full, DetermineInputSet(full, spec, o), opt.SAT)
-		recordModulePass(full, o, before, is, pr, widened, supports, passSigs, res)
+		// The erroring output's report is recorded too, then the stage
+		// stops.
+		supports[o] = is
+		for _, k := range is.StateSigs {
+			passSigs[o] = append(passSigs[o], full.StateSigs[k].Name)
+		}
+		for k := before; k < len(full.StateSigs); k++ {
+			passSigs[o] = append(passSigs[o], full.StateSigs[k].Name)
+		}
+		rep := OutputReport{
+			Output:   full.Base[o].Name,
+			InputSet: full.SignalNamesIn(is.Mask),
+			Widened:  widened,
+		}
+		if pr != nil {
+			rep.MergedStates = pr.MergedStates
+			rep.MergedEdges = pr.MergedEdges
+			rep.Ncsc = pr.Ncsc
+			rep.Lb = pr.Lb
+			rep.NewSignals = pr.NewSignals
+			rep.Formulas = pr.Formulas
+			res.Inserted += pr.NewSignals
+		}
+		for _, k := range is.StateSigs {
+			rep.StateSigs = append(rep.StateSigs, full.StateSigs[k].Name)
+		}
+		res.Outputs = append(res.Outputs, rep)
 		if err != nil {
 			return supports, passSigs, fmt.Errorf("output %q: %w", full.Base[o].Name, err)
 		}
 	}
 	return supports, passSigs, nil
-}
-
-// recordModulePass appends the bookkeeping of one completed module pass
-// — the support map, the pass signal names (kept plus the ones inserted
-// from index before on), and the output report. It is shared verbatim
-// by the sequential loop and the speculative committer, so the two
-// paths cannot drift.
-func recordModulePass(full *sg.Graph, o, before int, is InputSet, pr *PartitionResult, widened bool,
-	supports map[int]InputSet, passSigs map[int][]string, res *Result) {
-	supports[o] = is
-	for _, k := range is.StateSigs {
-		passSigs[o] = append(passSigs[o], full.StateSigs[k].Name)
-	}
-	for k := before; k < len(full.StateSigs); k++ {
-		passSigs[o] = append(passSigs[o], full.StateSigs[k].Name)
-	}
-	rep := OutputReport{
-		Output:   full.Base[o].Name,
-		InputSet: full.SignalNamesIn(is.Mask),
-		Widened:  widened,
-	}
-	if pr != nil {
-		rep.MergedStates = pr.MergedStates
-		rep.MergedEdges = pr.MergedEdges
-		rep.Ncsc = pr.Ncsc
-		rep.Lb = pr.Lb
-		rep.NewSignals = pr.NewSignals
-		rep.Formulas = pr.Formulas
-	}
-	for _, k := range is.StateSigs {
-		rep.StateSigs = append(rep.StateSigs, full.StateSigs[k].Name)
-	}
-	res.Outputs = append(res.Outputs, rep)
-	if pr != nil {
-		res.Inserted += pr.NewSignals
-	}
 }
 
 // solveModule runs partition_sat on the output's input set, widening the

@@ -316,9 +316,11 @@ func (rt *Router) handleJob(w http.ResponseWriter, r *http.Request) {
 // executed), so the cluster view is the union. Each shard is asked for
 // the window [0, offset+limit) of its own newest-first history; the
 // merged result is re-sorted newest first and the requested window
-// sliced locally. Total is the sum of the shard totals. Shards without
-// a run database (or down) contribute nothing; if no shard has one,
-// the 503 is relayed.
+// sliced locally. A shard serves at most rundb.MaxLimit records per
+// page, so a window ending past that is rejected as a parse error:
+// answering it would need records the shards never send. Total is the
+// sum of the shard totals. Shards without a run database (or down)
+// contribute nothing; if no shard has one, the 503 is relayed.
 func (rt *Router) handleRuns(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	q := r.URL.Query()
@@ -338,13 +340,19 @@ func (rt *Router) handleRuns(w http.ResponseWriter, r *http.Request) {
 	if limit > rundb.MaxLimit {
 		limit = rundb.MaxLimit
 	}
+	if offset > rundb.MaxLimit-limit { // not offset+limit: that can overflow
+		rt.writeError(w, synerr.Parse(fmt.Errorf(
+			"offset: router mode pages only the newest %d runs; offset+limit must not exceed it",
+			rundb.MaxLimit)), start)
+		return
+	}
 
 	// Rewrite the window for the shard fan-out: to assemble the global
 	// page [offset, offset+limit) we need each shard's newest
 	// offset+limit records.
 	sq := r.URL.Query()
 	sq.Set("offset", "0")
-	sq.Set("limit", strconv.Itoa(min(offset+limit, rundb.MaxLimit)))
+	sq.Set("limit", strconv.Itoa(offset+limit))
 	path := "/v1/runs?" + sq.Encode()
 
 	type result struct {

@@ -224,3 +224,71 @@ func TestRouterRunsMerge(t *testing.T) {
 		t.Fatalf("router unknown run: status %d, want 404", w.Code)
 	}
 }
+
+// fakeRunsShard serves GET /v1/runs from a fixed newest-first history,
+// paging it the way a rundb-enabled shard does (limit capped at
+// rundb.MaxLimit).
+func fakeRunsShard(t *testing.T, runs []RunSummary) *httptest.Server {
+	t.Helper()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/v1/runs" {
+			http.NotFound(w, r)
+			return
+		}
+		offset, _ := queryInt(r.URL.Query().Get("offset"), 0)
+		limit, _ := queryInt(r.URL.Query().Get("limit"), 0)
+		if limit <= 0 {
+			limit = rundb.DefaultLimit
+		}
+		limit = min(limit, rundb.MaxLimit)
+		page := RunsResponse{Total: len(runs), Offset: offset, Limit: limit, Runs: []RunSummary{}}
+		if offset < len(runs) {
+			page.Runs = runs[offset:min(offset+limit, len(runs))]
+		}
+		w.Header().Set("Content-Type", "application/json")
+		json.NewEncoder(w).Encode(page)
+	}))
+	t.Cleanup(ts.Close)
+	return ts
+}
+
+// TestRouterRunsDeepOffset pins the router's paging bound: every shard
+// serves at most rundb.MaxLimit records, so a window ending past that
+// is a 400 rather than a page of the wrong runs. Shard A holds the 600
+// newest runs, shard B ten older ones.
+func TestRouterRunsDeepOffset(t *testing.T) {
+	var a, b []RunSummary
+	for i := 599; i >= 0; i-- {
+		a = append(a, RunSummary{ID: fmt.Sprintf("a%03d", i), UnixMS: int64(10000 + i)})
+	}
+	for i := 9; i >= 0; i-- {
+		b = append(b, RunSummary{ID: fmt.Sprintf("b%02d", i), UnixMS: int64(1 + i)})
+	}
+	rt, err := NewRouter(RouterConfig{Shards: []string{fakeRunsShard(t, a).URL, fakeRunsShard(t, b).URL}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := rt.Handler()
+
+	// The deepest window inside the bound is A's runs 450–499.
+	var page RunsResponse
+	if w := getJSON(t, h, "/v1/runs?offset=450&limit=50", &page); w.Code != http.StatusOK {
+		t.Fatalf("offset=450&limit=50: status %d", w.Code)
+	}
+	if page.Total != 610 || len(page.Runs) != 50 || page.Runs[0].ID != a[450].ID || page.Runs[49].ID != a[499].ID {
+		t.Fatalf("offset=450&limit=50: total=%d len=%d, want 610 and A's runs %s..%s",
+			page.Total, len(page.Runs), a[450].ID, a[499].ID)
+	}
+
+	for _, q := range []string{
+		"offset=500&limit=50",                 // A's runs 500–549 never reach the router
+		"offset=451",                          // default limit 50
+		"offset=1000&limit=10",                // past every shard page
+		"offset=9223372036854775807&limit=50", // offset+limit overflows int
+	} {
+		var resp Response
+		if w := getJSON(t, h, "/v1/runs?"+q, &resp); w.Code != http.StatusBadRequest || resp.Class != "parse" {
+			t.Errorf("%s: status %d class %q, want 400 parse", q, w.Code, resp.Class)
+		}
+	}
+}

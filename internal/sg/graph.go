@@ -394,22 +394,6 @@ func (g *Graph) Clone() *Graph {
 	return c
 }
 
-// Snapshot returns a copy-on-write view of the graph for speculative
-// module solving: every structural slice (states, edges, adjacency,
-// base signals) is shared with g, and StateSigs is re-sliced with its
-// capacity capped at the current length, so an append on the snapshot
-// always reallocates instead of writing into g's backing array. The
-// snapshot is safe to extend with new state-signal columns while other
-// goroutines read g, as long as nothing mutates the shared structure —
-// which nothing in the module stage does (quotients build fresh graphs
-// and propagation only appends StateSigs).
-func (g *Graph) Snapshot() *Graph {
-	out := *g
-	n := len(g.StateSigs)
-	out.StateSigs = g.StateSigs[:n:n]
-	return &out
-}
-
 // InputEdge reports whether edge e is driven by the environment (an
 // input-signal transition or a dummy event), which the circuit cannot
 // delay.

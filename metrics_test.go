@@ -7,6 +7,7 @@ package asyncsyn
 
 import (
 	"fmt"
+	"reflect"
 	"runtime"
 	"sort"
 	"testing"
@@ -66,6 +67,15 @@ func TestCountersAreRunDeltas(t *testing.T) {
 	}
 	if total := m.Map()["sg_states"]; total != 2*c1.Counters["sg_states"] {
 		t.Errorf("collector total %d, want twice the per-run delta %d", total, c1.Counters["sg_states"])
+	}
+
+	// A fresh collector holds exactly one run, so that run's delta is
+	// the collector's whole map: no counter is kept out of
+	// Circuit.Counters, at any Workers value.
+	fresh := NewMetrics()
+	c := synthWorkers(t, "nak-pa", Options{Workers: 4, Metrics: fresh})
+	if !reflect.DeepEqual(c.Counters, fresh.Map()) {
+		t.Errorf("Workers=4: Circuit.Counters %v, want the fresh collector's %v", c.Counters, fresh.Map())
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"asyncsyn/internal/bench"
+	"asyncsyn/internal/stg"
 )
 
 // fingerprint flattens every externally visible synthesis result into a
@@ -47,19 +48,53 @@ func synthWorkers(t *testing.T, name string, opt Options) *Circuit {
 	return c
 }
 
+// TestDeterminismAcrossWorkers pins every externally visible result —
+// module reports, function covers, counters and digest — bit-identical
+// across Workers values, on Table 1 benchmarks and on seeded random
+// STGs round-tripped through the text format.
 func TestDeterminismAcrossWorkers(t *testing.T) {
+	type input struct{ name, src string }
+	var inputs []input
 	names := []string{"vbe4a", "nak-pa", "sbuf-ram-write"}
 	if !testing.Short() {
 		names = append(names, "mmu1")
 	}
-	workerSet := []int{1, 2, 3, runtime.GOMAXPROCS(0)}
 	for _, name := range names {
-		t.Run(name, func(t *testing.T) {
-			want := fingerprint(synthWorkers(t, name, Options{Workers: 1}))
+		src, err := bench.Source(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inputs = append(inputs, input{name, src})
+	}
+	for seed := int64(0); seed < 12; seed++ {
+		spec, err := stg.Random(seed, stg.RandomOptions{})
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		inputs = append(inputs, input{fmt.Sprintf("random-%d", seed), stg.Format(spec)})
+	}
+	workerSet := []int{2, 3, 8, runtime.GOMAXPROCS(0)}
+	for _, in := range inputs {
+		t.Run(in.name, func(t *testing.T) {
+			g, err := ParseSTGString(in.src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seq, err := Synthesize(g, Options{Workers: 1, Metrics: NewMetrics()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := fingerprint(seq) + counterFingerprint(seq)
 			for _, w := range workerSet {
-				got := fingerprint(synthWorkers(t, name, Options{Workers: w}))
-				if got != want {
+				c, err := Synthesize(g, Options{Workers: w, Metrics: NewMetrics()})
+				if err != nil {
+					t.Fatalf("Workers=%d failed where Workers=1 succeeded: %v", w, err)
+				}
+				if got := fingerprint(c) + counterFingerprint(c); got != want {
 					t.Errorf("Workers=%d diverges from Workers=1:\n--- got ---\n%s--- want ---\n%s", w, got, want)
+				}
+				if c.Digest() != seq.Digest() {
+					t.Errorf("Workers=%d digest %s, want %s", w, c.Digest(), seq.Digest())
 				}
 			}
 		})
